@@ -36,7 +36,7 @@ from repro.api.protocol import (
     Estimator,
 )
 from repro.api.queries import EdgeQuery, Query, SubgraphQuery, WindowQuery
-from repro.api.results import Estimate, Provenance
+from repro.api.results import Estimate, Provenance, estimates_from_columns
 from repro.api.snapshot import (
     SnapshotError,
     backend_name,
@@ -48,7 +48,6 @@ from repro.api.snapshot import (
 from repro.core.config import GSketchConfig
 from repro.core.global_sketch import GlobalSketch
 from repro.core.gsketch import DEFAULT_BATCH_SIZE, GSketch, iter_edge_batches
-from repro.core.router import OUTLIER_PARTITION
 from repro.core.windowed import WindowedGSketch
 from repro.datasets.registry import load_dataset
 from repro.distributed.coordinator import ShardedGSketch
@@ -202,6 +201,12 @@ class SketchEngine:
 
     def _dispatch_batch(self, queries: Sequence[Union[Query, EdgeKey]]) -> List[Estimate]:
         """Answer a block of queries; plain edge queries share one batched pass."""
+        if all(type(q) is EdgeQuery and q.window is None for q in queries):
+            # The common block: lifetime edge queries only.  Their label
+            # columns feed the plan directly, with no per-key bookkeeping.
+            sources = [q.source for q in queries]
+            targets = [q.target for q in queries]
+            return self._estimate_edge_keys(EdgeBatch.from_labels(sources, targets))
         estimates: List[Optional[Estimate]] = [None] * len(queries)
         edge_positions: List[int] = []
         edge_keys: List[EdgeKey] = []
@@ -242,44 +247,19 @@ class SketchEngine:
         )
         return self._estimate_edge_keys(keys)
 
-    def _estimate_edge_keys(self, keys: Sequence[EdgeKey]) -> List[Estimate]:
+    def _estimate_edge_keys(self, keys: Union[Sequence[EdgeKey], EdgeBatch]) -> List[Estimate]:
         """Typed estimates for a block of edge keys (lifetime semantics).
 
-        Partitioned backends answer values, intervals *and* provenance from a
-        single routing pass (``confidence_batch_with_partitions``); backends
-        without a partitioning fall back to plain ``confidence_batch``.
+        Every backend answers values, intervals *and* provenance columns from
+        a single plan pass (``confidence_columns``); the typed results are
+        built from those columns in one pass.
         """
         generation = getattr(self._estimator, "ingest_generation", None)
         if generation is not None:
             generation = int(generation)
-        combined = getattr(self._estimator, "confidence_batch_with_partitions", None)
-        if combined is None:
-            shared = Provenance(backend=self._backend, generation=generation)
-            return [
-                Estimate(value=interval.estimate, interval=interval, provenance=shared)
-                for interval in self._estimator.confidence_batch(keys)
-            ]
-        intervals, partitions = combined(keys)
-        plan = self._estimator.plan if self._backend == BACKEND_SHARDED else None
-        dead = frozenset(getattr(self._estimator, "dead_shards", ()) or ())
-        estimates = []
-        for interval, partition in zip(intervals, partitions):
-            shard = None if plan is None else plan.shard_of(partition)
-            estimates.append(
-                Estimate(
-                    value=interval.estimate,
-                    interval=interval,
-                    provenance=Provenance(
-                        backend=self._backend,
-                        partition=partition,
-                        shard=shard,
-                        outlier=partition == OUTLIER_PARTITION,
-                        degraded=shard is not None and shard in dead,
-                        generation=generation,
-                    ),
-                )
-            )
-        return estimates
+        return estimates_from_columns(
+            self._estimator.confidence_columns(keys), self._backend, generation
+        )
 
     def _query_window(self, query: WindowQuery) -> Estimate:
         if self._backend != BACKEND_WINDOWED:

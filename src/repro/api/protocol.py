@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from typing import List, Protocol, Sequence, runtime_checkable
 
-from repro.core.estimator import ConfidenceInterval
+from repro.core.estimator import ConfidenceColumns, ConfidenceInterval
+from repro.graph.batch import EdgeBatch
 from repro.graph.edge import EdgeKey
 from repro.queries.subgraph_query import SubgraphQuery
 
@@ -44,9 +45,9 @@ class Estimator(Protocol):
       or a sequence of :class:`~repro.graph.edge.StreamEdge` and returns the
       number of elements absorbed; repeated calls are equivalent to one pass
       over the concatenated stream.
-    * :meth:`query_edges` / :meth:`confidence_batch` are element-wise
-      positionally aligned with their input and agree with the scalar
-      single-edge paths bit for bit.
+    * :meth:`query_edges` / :meth:`confidence_batch` /
+      :meth:`confidence_columns` are element-wise positionally aligned with
+      their input and agree with the scalar single-edge paths bit for bit.
     * :meth:`state_dict` captures the *complete* estimator state;
       ``type(est).from_state(est.state_dict())`` must answer every query
       identically to the original.
@@ -62,6 +63,14 @@ class Estimator(Protocol):
 
     def confidence_batch(self, edges: Sequence[EdgeKey]) -> List[ConfidenceInterval]:
         """Equation-1 confidence intervals for a block of edge keys."""
+        ...
+
+    def confidence_columns(self, edges: Sequence[EdgeKey] | EdgeBatch) -> ConfidenceColumns:
+        """The same answers as aligned columns, plus provenance columns.
+
+        :class:`~repro.api.engine.SketchEngine` builds its typed estimates
+        from these; ``confidence_batch`` is ``confidence_columns(edges).intervals()``.
+        """
         ...
 
     def query_subgraph(self, query: SubgraphQuery) -> float:

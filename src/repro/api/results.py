@@ -13,9 +13,13 @@ not debug metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import repeat
+from typing import List, Optional
 
-from repro.core.estimator import ConfidenceInterval
+import numpy as np
+
+from repro.core.estimator import ConfidenceColumns, ConfidenceInterval
+from repro.core.router import OUTLIER_PARTITION
 
 
 @dataclass(frozen=True)
@@ -96,3 +100,40 @@ class Estimate:
             if self.interval.upper_slack:
                 result["interval"]["upper_slack"] = self.interval.upper_slack
         return result
+
+
+def estimates_from_columns(
+    columns: ConfidenceColumns, backend: str, generation: Optional[int]
+) -> List[Estimate]:
+    """Materialize a block's typed answers from its confidence columns.
+
+    The one place a backend's ``confidence_columns`` become
+    :class:`Estimate` objects.  Each column is converted with one
+    ``tolist()``; every key gets its own :class:`ConfidenceInterval` and
+    :class:`Estimate`, while each distinct answering partition gets one
+    :class:`Provenance` shared by all its keys (frozen and equal by value,
+    so sharing is safe).  Shard and degraded flag are functions of the
+    partition, so the partition alone selects the record.
+    """
+    values = columns.estimates.tolist()
+    intervals = columns.intervals()
+    partitions = columns.partitions
+    if partitions is None:
+        shared = Provenance(backend=backend, generation=generation)
+        return list(map(Estimate, values, intervals, repeat(shared)))
+    distinct, first = np.unique(partitions, return_index=True)
+    shards = None if columns.shards is None else columns.shards[first].tolist()
+    degraded = None if columns.degraded is None else columns.degraded[first].tolist()
+    by_partition = {
+        partition: Provenance(
+            backend=backend,
+            partition=partition,
+            shard=None if shards is None else shards[index],
+            outlier=partition == OUTLIER_PARTITION,
+            degraded=False if degraded is None else degraded[index],
+            generation=generation,
+        )
+        for index, partition in enumerate(distinct.tolist())
+    }
+    provenances = map(by_partition.__getitem__, partitions.tolist())
+    return list(map(Estimate, values, intervals, provenances))

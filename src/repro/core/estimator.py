@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -60,37 +60,47 @@ def countmin_confidence(sketch: CountMinSketch, estimate: float) -> ConfidenceIn
     )
 
 
-def intervals_from_arrays(
-    estimates: np.ndarray,
-    bounds: np.ndarray,
-    failures: np.ndarray,
-    upper_slacks: "np.ndarray | None" = None,
-) -> List[ConfidenceInterval]:
-    """Materialize typed intervals from parallel estimate/bound/failure columns.
+class ConfidenceColumns(NamedTuple):
+    """A block's Equation-1 answers as aligned per-key columns.
 
-    The compiled query plan answers confidence batches as three aligned
-    arrays (one routing pass, constants gathered by partition slot); this is
-    the single place they become :class:`ConfidenceInterval` objects.
-    ``upper_slacks`` (degraded serving only) widens per-query upper ends by
-    the lost frequency mass of the shard that would have answered.
+    Every backend's ``confidence_columns`` returns one of these from a single
+    plan pass; the typed results (:class:`ConfidenceInterval`, and the
+    facade's ``Estimate``/``Provenance``) are materialized from it once, at
+    the API edge.
+
+    Attributes:
+        estimates: point estimates (``float64``).
+        bounds: additive Equation-1 bounds (``float64``).
+        failures: failure probabilities (``float64``).
+        partitions: partition that answered each key
+            (:data:`~repro.core.router.OUTLIER_PARTITION` for the outlier
+            sketch); ``None`` for backends without a partitioning.
+        shards: shard owning each key's partition (sharded backend only).
+        degraded: whether that shard was dropped (degraded serving only).
+        upper_slacks: lost frequency mass widening each upper end (degraded
+            serving only).
+
+    ``shards`` and ``degraded`` are functions of the partition within one
+    block: shard ownership is fixed at build time and the dead-shard set is
+    read once per block.
     """
-    if upper_slacks is None:
-        return [
-            ConfidenceInterval(
-                estimate=float(estimate),
-                additive_bound=float(bound),
-                failure_probability=float(failure),
-            )
-            for estimate, bound, failure in zip(estimates, bounds, failures)
-        ]
-    return [
-        ConfidenceInterval(
-            estimate=float(estimate),
-            additive_bound=float(bound),
-            failure_probability=float(failure),
-            upper_slack=float(slack),
-        )
-        for estimate, bound, failure, slack in zip(
-            estimates, bounds, failures, upper_slacks
-        )
-    ]
+
+    estimates: np.ndarray
+    bounds: np.ndarray
+    failures: np.ndarray
+    partitions: Optional[np.ndarray] = None
+    shards: Optional[np.ndarray] = None
+    degraded: Optional[np.ndarray] = None
+    upper_slacks: Optional[np.ndarray] = None
+
+    def intervals(self) -> List[ConfidenceInterval]:
+        """The per-key :class:`ConfidenceInterval` objects, in key order.
+
+        The single place confidence columns become typed intervals.  Each
+        column is converted with one ``tolist()`` (plain Python floats,
+        bit-identical to per-element ``float()``).
+        """
+        columns = [self.estimates.tolist(), self.bounds.tolist(), self.failures.tolist()]
+        if self.upper_slacks is not None:
+            columns.append(self.upper_slacks.tolist())
+        return list(map(ConfidenceInterval, *columns))

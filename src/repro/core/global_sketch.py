@@ -13,9 +13,9 @@ from typing import Hashable, Iterable, List, Sequence
 
 from repro.core.config import GSketchConfig
 from repro.core.estimator import (
+    ConfidenceColumns,
     ConfidenceInterval,
     countmin_confidence,
-    intervals_from_arrays,
 )
 from repro.core.gsketch import DEFAULT_BATCH_SIZE, iter_edge_batches
 from repro.graph.batch import EdgeBatch
@@ -141,18 +141,22 @@ class GlobalSketch(PlanServingMixin):
         """Equation-1 confidence interval for an edge estimate."""
         return countmin_confidence(self._sketch, self.query_edge(edge))
 
-    def confidence_batch(self, edges: Sequence[EdgeKey]) -> List[ConfidenceInterval]:
-        """Equation-1 confidence intervals for many edges at once.
+    def confidence_columns(self, edges: Sequence[EdgeKey] | EdgeBatch) -> ConfidenceColumns:
+        """Estimates and Equation-1 constants for a block of edges, as columns.
 
         One plan pass: the keys are hashed once, estimated in one gather, and
         the constant bound/failure pair (one sketch serves every query) is
-        broadcast from the plan's per-slot constants.  Element-wise identical
-        to :meth:`confidence`.
+        broadcast from the plan's per-slot constants.  There is no
+        partitioning, so the partition column is ``None``.
         """
-        if len(edges) == 0:
-            return []
-        estimates, bounds, failures, _ = self._planned_confidence(edges)
-        return intervals_from_arrays(estimates, bounds, failures)
+        return ConfidenceColumns(*self._planned_confidence(edges))
+
+    def confidence_batch(self, edges: Sequence[EdgeKey]) -> List[ConfidenceInterval]:
+        """Equation-1 confidence intervals for many edges at once.
+
+        Element-wise identical to :meth:`confidence`.
+        """
+        return self.confidence_columns(edges).intervals()
 
     # ------------------------------------------------------------------ #
     # Snapshot protocol

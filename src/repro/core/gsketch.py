@@ -24,9 +24,9 @@ import numpy as np
 from repro.core.batch_router import BatchRouter
 from repro.core.config import GSketchConfig
 from repro.core.estimator import (
+    ConfidenceColumns,
     ConfidenceInterval,
     countmin_confidence,
-    intervals_from_arrays,
 )
 from repro.core.partition_tree import PartitionLeaf, PartitionTree
 from repro.core.partitioner import build_partition_tree, workload_vertex_weights
@@ -116,10 +116,10 @@ def routed_confidence_batch(
 ) -> "tuple[List[ConfidenceInterval], List[int]]":
     """Equation-1 confidence intervals for a block of edges, one routing pass.
 
-    The single source of truth for partitioned confidence queries, shared by
-    :meth:`GSketch.confidence_batch` and
-    :meth:`~repro.distributed.coordinator.ShardedGSketch.confidence_batch` so
-    the two cannot diverge.  Edges are routed once and estimated per
+    The pre-plan parity oracle for partitioned confidence queries, shared by
+    :meth:`GSketch.confidence_batch_direct` and
+    :meth:`~repro.distributed.coordinator.ShardedGSketch.confidence_batch_direct`
+    so the two cannot diverge.  Edges are routed once and estimated per
     partition via ``estimate_batch``; the additive bound and failure
     probability are per-partition constants, so each group contributes two
     scalars.  Returns the intervals plus the partition id that answered each
@@ -398,28 +398,31 @@ class GSketch(PlanServingMixin):
         sketch = self._sketch_for(self.router.partition_of(source))
         return countmin_confidence(sketch, sketch.estimate(tuple(edge)))
 
+    def confidence_columns(self, edges: Sequence[EdgeKey] | EdgeBatch) -> ConfidenceColumns:
+        """Estimates, Equation-1 constants and answering partitions as columns.
+
+        One plan pass (hash, route, gather) for a block of keys or an
+        already columnized :class:`~repro.graph.batch.EdgeBatch`; every typed
+        confidence answer is materialized from these columns.
+        """
+        return ConfidenceColumns(*self._planned_confidence(edges))
+
     def confidence_batch(self, edges: Sequence[EdgeKey]) -> List[ConfidenceInterval]:
         """Equation-1 confidence intervals for many edges at once.
 
-        Element-wise identical to calling :meth:`confidence` per edge; rides
-        the compiled plan with the per-partition bound/failure constants
-        gathered by partition slot.
+        Element-wise identical to calling :meth:`confidence` per edge.
         """
-        return self.confidence_batch_with_partitions(edges)[0]
+        return self.confidence_columns(edges).intervals()
 
     def confidence_batch_with_partitions(
         self, edges: Sequence[EdgeKey]
     ) -> "tuple[List[ConfidenceInterval], List[int]]":
         """Intervals plus the partition id that answered each edge.
 
-        One plan pass serves estimates, constants and provenance; the facade
-        uses the partition column without re-routing the keys.  Bit-identical
-        to :meth:`confidence_batch_direct`.
+        Bit-identical to :meth:`confidence_batch_direct`.
         """
-        if len(edges) == 0:
-            return [], []
-        estimates, bounds, failures, partitions = self._planned_confidence(edges)
-        return intervals_from_arrays(estimates, bounds, failures), partitions.tolist()
+        columns = self.confidence_columns(edges)
+        return columns.intervals(), columns.partitions.tolist()
 
     def confidence_batch_direct(
         self, edges: Sequence[EdgeKey]

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.config import GSketchConfig
-from repro.core.estimator import ConfidenceInterval, intervals_from_arrays
+from repro.core.estimator import ConfidenceColumns, ConfidenceInterval
 from repro.core.global_sketch import GlobalSketch
 from repro.core.gsketch import GSketch
 from repro.graph.batch import EdgeBatch
@@ -255,28 +255,32 @@ class WindowedGSketch:
         """
         return self.confidence_batch([edge])[0]
 
-    def confidence_batch(self, edges: Sequence[EdgeKey]) -> List[ConfidenceInterval]:
-        """Lifetime confidence intervals for many edges at once.
+    def confidence_columns(self, edges: Sequence[EdgeKey] | EdgeBatch) -> ConfidenceColumns:
+        """Lifetime estimates and Equation-1 constants for a block, as columns.
 
-        Each window contributes its plan-served estimate/bound/failure
-        columns directly (no per-window interval objects), which compose
-        additively exactly as the scalar :meth:`confidence` path does.
+        The block is columnized once; each window contributes its
+        plan-served estimate/bound/failure columns, which compose additively
+        exactly as the scalar :meth:`confidence` path does.  Lifetime answers
+        span several partitionings, so the partition column is ``None``.
         """
-        if len(edges) == 0:
-            return []
-        estimates = np.zeros(len(edges), dtype=np.float64)
-        bounds = np.zeros(len(edges), dtype=np.float64)
-        failures = np.zeros(len(edges), dtype=np.float64)
+        batch = edges if isinstance(edges, EdgeBatch) else EdgeBatch.from_edge_keys(edges)
+        estimates = np.zeros(len(batch), dtype=np.float64)
+        bounds = np.zeros(len(batch), dtype=np.float64)
+        failures = np.zeros(len(batch), dtype=np.float64)
         for window in sorted(self._windows):
             window_est, window_bounds, window_failures, _ = self._windows[
                 window
-            ].estimator._planned_confidence(edges)
+            ].estimator._planned_confidence(batch)
             estimates += window_est
             bounds += window_bounds
             failures += window_failures
         # The union bound over per-window failure events clamps at 1.
         np.minimum(failures, 1.0, out=failures)
-        return intervals_from_arrays(estimates, bounds, failures)
+        return ConfidenceColumns(estimates, bounds, failures)
+
+    def confidence_batch(self, edges: Sequence[EdgeKey]) -> List[ConfidenceInterval]:
+        """Lifetime confidence intervals for many edges at once."""
+        return self.confidence_columns(edges).intervals()
 
     def compile_plan(self) -> None:
         """Eagerly compile (or refresh) every opened window's query plan."""

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.config import GSketchConfig
 from repro.core.errors import degraded_union_bound
-from repro.core.estimator import ConfidenceInterval, intervals_from_arrays
+from repro.core.estimator import ConfidenceColumns, ConfidenceInterval
 from repro.core.gsketch import (
     DEFAULT_BATCH_SIZE,
     GSketch,
@@ -502,43 +502,48 @@ class ShardedGSketch(PlanServingMixin):
         """Per-partition Equation-1 confidence interval for an edge estimate."""
         return self.confidence_batch([edge])[0]
 
+    def confidence_columns(self, edges: Sequence[EdgeKey] | EdgeBatch) -> ConfidenceColumns:
+        """Estimates, Equation-1 constants, partitions and shards as columns.
+
+        One plan pass serves estimates, constants and provenance.  Under
+        degraded serving, keys answered by a dropped shard are marked
+        ``degraded`` and get widened intervals: the shard's lost frequency
+        mass becomes upper slack (its counters may now *under*estimate by
+        that much) and the failure probability is union-bounded with a
+        second ``e^-d`` term (:func:`~repro.core.errors.degraded_union_bound`).
+        """
+        estimates, bounds, failures, partitions = self._planned_confidence(edges)
+        shards = self._shard_lookup[partitions]
+        sup = self._supervisor
+        if sup is None or not sup.dead_shards:
+            return ConfidenceColumns(estimates, bounds, failures, partitions, shards)
+        dead = sorted(sup.dead_shards)
+        slacks = np.zeros_like(estimates)
+        failures = failures.copy()
+        extra = math.exp(-self.config.depth)
+        for shard in dead:
+            mask = shards == shard
+            if np.any(mask):
+                slacks[mask] = sup.lost_frequency(shard)
+                failures[mask] = degraded_union_bound(failures[mask], extra)
+        return ConfidenceColumns(
+            estimates, bounds, failures, partitions, shards, np.isin(shards, dead), slacks
+        )
+
     def confidence_batch(self, edges: Sequence[EdgeKey]) -> List[ConfidenceInterval]:
         """Equation-1 confidence intervals for many edges at once.
 
-        Rides the compiled plan (one pass for estimates, constants and
-        provenance); :meth:`confidence_batch_direct` keeps the pre-plan
-        routed path, and the two are bit-identical by construction.
+        Rides the compiled plan; :meth:`confidence_batch_direct` keeps the
+        pre-plan routed path, and the two are bit-identical by construction.
         """
-        return self.confidence_batch_with_partitions(edges)[0]
+        return self.confidence_columns(edges).intervals()
 
     def confidence_batch_with_partitions(
         self, edges: Sequence[EdgeKey]
     ) -> "tuple[List[ConfidenceInterval], List[int]]":
-        """Intervals plus the partition id that answered each edge.
-
-        Under degraded serving, queries answered by a dropped shard get
-        widened intervals: the shard's lost frequency mass becomes upper
-        slack (its counters may now *under*estimate by that much) and the
-        failure probability is union-bounded with a second ``e^-d`` term
-        (:func:`~repro.core.errors.degraded_union_bound`).
-        """
-        if len(edges) == 0:
-            return [], []
-        estimates, bounds, failures, partitions = self._planned_confidence(edges)
-        slacks = None
-        sup = self._supervisor
-        if sup is not None and sup.dead_shards:
-            shards_of = self._shard_lookup[partitions]
-            slacks = np.zeros_like(estimates)
-            failures = failures.copy()
-            extra = math.exp(-self.config.depth)
-            for dead in sup.dead_shards:
-                mask = shards_of == dead
-                if np.any(mask):
-                    slacks[mask] = sup.lost_frequency(dead)
-                    failures[mask] = degraded_union_bound(failures[mask], extra)
-        intervals = intervals_from_arrays(estimates, bounds, failures, slacks)
-        return intervals, partitions.tolist()
+        """Intervals plus the partition id that answered each edge."""
+        columns = self.confidence_columns(edges)
+        return columns.intervals(), columns.partitions.tolist()
 
     def confidence_batch_direct(
         self, edges: Sequence[EdgeKey]

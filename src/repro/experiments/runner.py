@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api.engine import SketchEngine
 from repro.core.config import GSketchConfig
 from repro.datasets.registry import load_dataset
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.memory import memory_sweep_for_stream
+from repro.graph.edge import EdgeKey
 from repro.graph.sampling import reservoir_sample, zipf_workload_stream
 from repro.graph.stream import GraphStream
 from repro.queries.evaluation import (
@@ -131,7 +132,7 @@ def _prepare_environment(config: ExperimentConfig) -> _Environment:
         edges_per_subgraph=config.edges_per_subgraph,
         seed=config.seed + 6,
     )
-    memory_budgets = memory_sweep_for_stream(stream, fractions=config.memory_fractions)
+    memory_budgets = memory_sweep_for_stream(stream, depth=config.depth)
     return _Environment(
         config=config,
         stream=stream,
@@ -212,6 +213,15 @@ def _queries_for_scenario(env: _Environment, scenario: str) -> Tuple[list, list]
     return env.uniform_queries, env.uniform_subgraphs
 
 
+def _batched_lookup(estimator, keys: List[EdgeKey]) -> Callable[[EdgeKey], float]:
+    """Per-edge estimates for ``keys`` answered by one ``query_edges`` pass.
+
+    The returned lookup is bit-identical to ``estimator.query_edge`` on every
+    key in ``keys`` (batch and scalar plan paths agree element-wise).
+    """
+    return dict(zip(keys, estimator.query_edges(keys))).__getitem__
+
+
 def _evaluate(
     estimator: object,
     env: _Environment,
@@ -222,7 +232,7 @@ def _evaluate(
     edge_queries, subgraph_queries = _queries_for_scenario(env, scenario)
     with Timer() as edge_timer:
         edge_result = evaluate_edge_queries(
-            estimator.query_edge,  # type: ignore[attr-defined]
+            _batched_lookup(estimator, [query.key for query in edge_queries]),
             edge_queries,
             env.true_frequencies,
             threshold=config.effectiveness_threshold,
@@ -231,8 +241,9 @@ def _evaluate(
     subgraph_seconds = 0.0
     if include_subgraphs:
         with Timer() as subgraph_timer:
+            constituents = [edge for query in subgraph_queries for edge in query.edges]
             subgraph_result = evaluate_subgraph_queries(
-                estimator.query_edge,  # type: ignore[attr-defined]
+                _batched_lookup(estimator, constituents),
                 subgraph_queries,
                 env.true_frequencies,
                 threshold=config.effectiveness_threshold,
@@ -353,9 +364,10 @@ def run_outlier_experiment(config: ExperimentConfig) -> Tuple[OutlierSweepPoint,
         )
         engine.ingest(env.stream)
         gsketch = engine.estimator
+        query_edge = _batched_lookup(gsketch, [query.key for query in env.uniform_queries])
 
         all_result = evaluate_edge_queries(
-            gsketch.query_edge,
+            query_edge,
             env.uniform_queries,
             env.true_frequencies,
             threshold=config.effectiveness_threshold,
@@ -366,7 +378,7 @@ def run_outlier_experiment(config: ExperimentConfig) -> Tuple[OutlierSweepPoint,
         outlier_error = None
         if outlier_queries:
             outlier_result = evaluate_edge_queries(
-                gsketch.query_edge,
+                query_edge,
                 outlier_queries,
                 env.true_frequencies,
                 threshold=config.effectiveness_threshold,

@@ -31,10 +31,12 @@ def label_column(values: List) -> np.ndarray:
     Only genuine integers are columnarized — floats, bools and strings keep
     their identity in an object array so hashing semantics never change.
     (A bare ``np.asarray`` would promote mixed int/str labels to strings and
-    silently change routing.)
+    silently change routing.)  Plain ``int`` labels, the common case, pass a
+    cheap exact-type check first; numpy integers take the general check.
     """
-    if values and all(
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values
+    if values and (
+        all(type(v) is int for v in values)
+        or all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
     ):
         try:
             return np.asarray(values, dtype=np.int64)
@@ -88,10 +90,15 @@ class EdgeBatch:
         columnar pipeline as ingestion, so batched estimates hash
         bit-identically to per-edge lookups.
         """
+        return cls.from_labels([k[0] for k in keys], [k[1] for k in keys])
+
+    @classmethod
+    def from_labels(cls, sources: List, targets: List) -> "EdgeBatch":
+        """Build a zero-frequency batch from parallel source/target label lists."""
         return cls.from_arrays(
-            sources=_column([k[0] for k in keys]),
-            targets=_column([k[1] for k in keys]),
-            frequencies=np.zeros(len(keys), dtype=np.float64),
+            sources=label_column(sources),
+            targets=label_column(targets),
+            frequencies=np.zeros(len(sources), dtype=np.float64),
         )
 
     @classmethod

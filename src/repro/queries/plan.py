@@ -48,7 +48,7 @@ re-copies the tables on refresh instead.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -578,8 +578,8 @@ class PlanServingMixin:
     implements :meth:`_plan_layout`; in return it gets :meth:`compile_plan`
     (lazy compile / generation-checked refresh), plan-served
     :meth:`_planned_estimates` with the hot-edge cache in front, and
-    :meth:`_planned_confidence` producing intervals plus partition
-    provenance from the same single routing pass.
+    :meth:`_planned_confidence` producing the confidence columns plus
+    partition provenance from the same single routing pass.
     """
 
     _query_plan: Optional[CompiledQueryPlan]
@@ -723,13 +723,14 @@ class PlanServingMixin:
         return cached
 
     def _planned_confidence(
-        self, edges: Sequence[EdgeKey]
+        self, edges: Union[Sequence[EdgeKey], EdgeBatch]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """``(estimates, bounds, failures, partitions)`` from one routing pass.
 
-        ``partitions`` is ``None`` for single-sketch plans.  The constants are
-        gathered per element by arena slot, so queries spanning any number of
-        partitions stay loop-free.
+        ``edges`` is a sequence of keys or an already columnized
+        :class:`~repro.graph.batch.EdgeBatch`.  ``partitions`` is ``None`` for
+        single-sketch plans.  The constants are gathered per element by arena
+        slot, so queries spanning any number of partitions stay loop-free.
         """
         if not _obs._ENABLED:
             return self._planned_confidence_impl(edges)
@@ -741,10 +742,13 @@ class PlanServingMixin:
         return result
 
     def _planned_confidence_impl(
-        self, edges: Sequence[EdgeKey]
+        self, edges: Union[Sequence[EdgeKey], EdgeBatch]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        if len(edges) == 0:
+            empty = np.zeros(0, dtype=np.float64)
+            return empty, empty, empty, np.zeros(0, dtype=np.int64)
         plan = self.compile_plan()
-        batch = EdgeBatch.from_edge_keys(edges)
+        batch = edges if isinstance(edges, EdgeBatch) else EdgeBatch.from_edge_keys(edges)
         slots, partitions = plan.route_sources(batch.sources)
         estimates = plan.estimate_keys(batch.hashed_keys(), slots)
         bounds, failures = plan.confidence_constants(slots)

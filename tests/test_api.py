@@ -8,8 +8,11 @@ backends purely through the :class:`repro.api.Estimator` Protocol surface.
 
 from __future__ import annotations
 
+import math
 import pickle
+from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 
 import repro.api as api
@@ -24,9 +27,13 @@ from repro.api import (
     WindowQuery,
     load_snapshot,
 )
+from repro import faults
+from repro.api.results import Estimate, Provenance
 from repro.core.config import GSketchConfig
+from repro.core.estimator import ConfidenceInterval
 from repro.core.global_sketch import GlobalSketch
 from repro.core.router import OUTLIER_PARTITION
+from repro.graph.batch import EdgeBatch, label_column
 
 #: Every backend, as "build a fresh engine from (stream, sample, config)".
 BACKEND_BUILDERS = {
@@ -273,6 +280,233 @@ def test_deprecated_shims_warn_and_stay_bit_exact(
     assert [e.provenance.partition for e in via_estimate] == [
         e.provenance.partition for e in expected
     ]
+
+
+# ---------------------------------------------------------------------- #
+# Columnar materialization: engine.query == per-key typed objects
+# ---------------------------------------------------------------------- #
+def reference_estimates(engine, keys):
+    """Estimates built key by key from each backend's oracle path.
+
+    The partitioned backends answer from the pre-plan routed path
+    (``confidence_batch_direct``) with provenance and degraded-serving
+    widening applied per key; the Global Sketch and the windowed backend
+    answer from their scalar ``confidence`` paths (windowed: summed over the
+    windows, failure union bound clamped at 1).
+    """
+    estimator = engine.estimator
+    backend = engine.backend
+    generation = getattr(estimator, "ingest_generation", None)
+    if backend in ("gsketch", "sharded"):
+        intervals, partitions = estimator.confidence_batch_direct(keys)
+    elif backend == "global":
+        intervals, partitions = [estimator.confidence(key) for key in keys], None
+    else:
+        windows = [estimator.estimator_for_window(w) for w in estimator.window_indices()]
+        intervals, partitions = [], None
+        for key in keys:
+            parts = [window.confidence(key) for window in windows]
+            intervals.append(
+                ConfidenceInterval(
+                    sum((part.estimate for part in parts), 0.0),
+                    sum((part.additive_bound for part in parts), 0.0),
+                    min(sum((part.failure_probability for part in parts), 0.0), 1.0),
+                )
+            )
+    if partitions is None:
+        provenance = Provenance(backend=backend, generation=generation)
+        return [Estimate(i.estimate, i, provenance) for i in intervals]
+    dead = set(getattr(estimator, "dead_shards", ()))
+    estimates = []
+    for interval, partition in zip(intervals, partitions):
+        shard = estimator.plan.shard_of(partition) if backend == "sharded" else None
+        degraded = shard in dead
+        if degraded:
+            interval = ConfidenceInterval(
+                interval.estimate,
+                interval.additive_bound,
+                min(interval.failure_probability + math.exp(-estimator.config.depth), 1.0),
+                upper_slack=estimator.supervisor.lost_frequency(shard),
+            )
+        provenance = Provenance(
+            backend=backend,
+            partition=partition,
+            shard=shard,
+            outlier=partition == OUTLIER_PARTITION,
+            degraded=degraded,
+            generation=generation,
+        )
+        estimates.append(Estimate(interval.estimate, interval, provenance))
+    return estimates
+
+
+def assert_same_estimates(got, want):
+    assert got == want
+    assert [repr(e) for e in got] == [repr(e) for e in want]
+    assert [e.to_dict() for e in got] == [e.to_dict() for e in want]
+
+
+@pytest.mark.parametrize("backend", sorted(BACKEND_BUILDERS))
+def test_query_block_equals_per_key_reference(
+    backend, zipf_stream, zipf_sample, small_config
+):
+    engine = BACKEND_BUILDERS[backend](zipf_stream, zipf_sample, small_config)
+    engine.ingest(zipf_stream)
+    keys = query_keys(zipf_stream, count=300)
+    # Integer labels only (exact-int columns), then with a string-labelled
+    # outlier key (object columns).
+    for block in (keys[:-1], keys):
+        got = engine.query([EdgeQuery(*key) for key in block])
+        assert_same_estimates(got, reference_estimates(engine, block))
+        # Bare keys take the mixed-block path and agree.
+        assert engine.query(list(block)) == got
+    engine.close()
+
+
+def test_windowed_query_block_clamps_failure_union_bound(zipf_stream):
+    """Depth 1 over several windows pushes the union bound past 1."""
+    config = GSketchConfig(total_cells=8_000, depth=1, seed=7)
+    engine = SketchEngine.builder().config(config).windowed(1_000.0, sample_size=400).build()
+    engine.ingest(zipf_stream)
+    keys = query_keys(zipf_stream, count=100)
+    got = engine.query([EdgeQuery(*key) for key in keys])
+    assert all(e.interval.failure_probability == 1.0 for e in got)
+    assert_same_estimates(got, reference_estimates(engine, keys))
+
+
+def test_degraded_sharded_query_block_equals_per_key_reference(
+    zipf_stream, zipf_sample, small_config
+):
+    spec = faults.FaultSpec(
+        site=faults.SITE_CRASH_BEFORE_APPLY, at_hit=1, shard=1, persistent=True
+    )
+    faults.install(faults.FaultPlan([spec]))
+    try:
+        engine = (
+            SketchEngine.builder()
+            .config(small_config)
+            .sample(zipf_sample)
+            .stream_size_hint(len(zipf_stream))
+            .sharded(3, "processes")
+            .recovery(max_restarts=1, backoff_seconds=0.01, degraded_serving=True)
+            .build()
+        )
+        try:
+            engine.ingest(zipf_stream, batch_size=512)
+            assert engine.estimator.dead_shards == (1,)
+            keys = query_keys(zipf_stream, count=300)
+            got = engine.query([EdgeQuery(*key) for key in keys])
+            assert any(e.provenance.degraded for e in got)
+            assert any(e.interval.upper_slack > 0.0 for e in got)
+            assert not all(e.provenance.degraded for e in got)
+            assert_same_estimates(got, reference_estimates(engine, keys))
+        finally:
+            engine.close()
+    finally:
+        faults.clear()
+
+
+@pytest.mark.parametrize("backend", sorted(BACKEND_BUILDERS))
+def test_empty_query_block(backend, zipf_stream, zipf_sample, small_config):
+    engine = BACKEND_BUILDERS[backend](zipf_stream, zipf_sample, small_config)
+    engine.ingest(zipf_stream.prefix(500))
+    assert engine.query([]) == []
+    assert engine.estimator.confidence_batch([]) == []
+    engine.close()
+
+
+@pytest.mark.parametrize("backend", ["gsketch", "windowed"])
+def test_mixed_query_block_matches_single_queries(
+    backend, zipf_stream, zipf_sample, small_config
+):
+    engine = BACKEND_BUILDERS[backend](zipf_stream, zipf_sample, small_config)
+    engine.ingest(zipf_stream)
+    keys = query_keys(zipf_stream, count=6)
+    queries = [
+        EdgeQuery(*keys[0]),
+        keys[1],
+        SubgraphQuery.from_edges(keys[:4]),
+        EdgeQuery(*keys[2]),
+        keys[-1],
+    ]
+    if backend == "windowed":
+        queries.insert(2, EdgeQuery(*keys[3], window=(0.0, float(len(zipf_stream)))))
+    got = engine.query(queries)
+    assert got == [engine.query(query) for query in queries]
+    # The lifetime edge queries among them share one batched pass.
+    edges = [
+        (position, query if isinstance(query, tuple) else query.key)
+        for position, query in enumerate(queries)
+        if isinstance(query, tuple) or (isinstance(query, EdgeQuery) and query.window is None)
+    ]
+    assert_same_estimates(
+        [got[position] for position, _ in edges],
+        reference_estimates(engine, [key for _, key in edges]),
+    )
+    engine.close()
+
+
+def test_returned_estimates_stay_frozen(zipf_stream, zipf_sample, small_config):
+    engine = BACKEND_BUILDERS["gsketch"](zipf_stream, zipf_sample, small_config)
+    engine.ingest(zipf_stream)
+    keys = query_keys(zipf_stream, count=20)
+    estimates = engine.query([EdgeQuery(*key) for key in keys])
+    estimate = estimates[0]
+    with pytest.raises(FrozenInstanceError):
+        estimate.value = 1.0
+    with pytest.raises(FrozenInstanceError):
+        estimate.interval.estimate = 1.0
+    with pytest.raises(FrozenInstanceError):
+        estimate.provenance.partition = 0
+    # Keys answered by one partition share one (immutable) provenance record.
+    by_partition = {}
+    for e in estimates:
+        assert by_partition.setdefault(e.provenance.partition, e.provenance) == e.provenance
+
+
+def label_column_reference(values):
+    """``label_column`` as it was before its exact-``int`` fast path."""
+    if values and all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values
+    ):
+        try:
+            return np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    column = np.empty(len(values), dtype=object)
+    column[:] = values
+    return column
+
+
+@pytest.mark.parametrize(
+    "labels, dtype",
+    [
+        ([3, 1, 4, 1, 5], np.int64),
+        ([np.int64(3), np.int64(1), np.int64(4)], np.int64),
+        ([3, np.int64(1), np.int32(4)], np.int64),
+        ([True, False, True], object),
+        ([1, True, 2], object),
+        (["a", "b", "c"], object),
+        ([1, "b", 3], object),
+        ([1.0, 2.0, 3.0], object),
+        ([2**63, 1, 2], object),
+        ([1, 2, 2**64 + 5], object),
+        ([], object),
+    ],
+)
+def test_label_column_keeps_dtype_and_hashing(labels, dtype):
+    column = label_column(labels)
+    reference = label_column_reference(labels)
+    assert column.dtype == dtype == reference.dtype
+    assert column.tolist() == reference.tolist()
+    targets = list(range(len(labels)))
+    batch = EdgeBatch.from_labels(labels, targets)
+    want = EdgeBatch.from_arrays(
+        reference, label_column_reference(targets), np.zeros(len(labels))
+    )
+    assert np.array_equal(batch.hashed_keys(), want.hashed_keys())
+    keys = list(zip(labels, targets))
+    assert np.array_equal(EdgeBatch.from_edge_keys(keys).hashed_keys(), want.hashed_keys())
 
 
 # ---------------------------------------------------------------------- #
